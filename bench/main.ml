@@ -1385,27 +1385,6 @@ let snvs_pkts ~hosts npkts =
         ~src:(Int64.of_int (0x1000 + i))
         ~ethertype:0x0800L ~payload:"bp")
 
-(* Like [time_packets] below, but drives each batch through
-   [Switch.process_many], which acquires the compiled pipeline's scratch
-   once per batch instead of once per packet. *)
-let time_packets_batch sw ~in_port (pkts : P4.Packet.t array) ~batches
-    ~per_batch =
-  let npkts = Array.length pkts in
-  ignore
-    (P4.Switch.process_many sw
-       (List.init (min 256 per_batch) (fun k -> (in_port, pkts.(k mod npkts)))));
-  let samples =
-    List.init batches (fun b ->
-        let jobs =
-          List.init per_batch (fun k ->
-              (in_port, pkts.(((b * per_batch) + k) mod npkts)))
-        in
-        let t0 = now () in
-        ignore (P4.Switch.process_many sw jobs);
-        (now () -. t0) *. 1e9 /. float_of_int per_batch)
-  in
-  summarise samples
-
 (* Per-packet cost over [batches] timed batches of [per_batch] packets
    each (ns/packet samples; the packet pool is reused — [process] never
    mutates its input).  Returns (mean, p50, p99) in ns/packet. *)
@@ -1456,22 +1435,16 @@ let measure_packets () =
     let sw = snvs_exact_switch ~use_compiled:false ~hosts:512 () in
     time_packets sw ~in_port:1 (snvs_pkts ~hosts:512 256) ~batches:15
       ~per_batch:100
-  and lpm_b =
-    let sw = l3_switch ~use_compiled:true ~routes:10_000 () in
-    time_packets_batch sw ~in_port:9 (l3_pkts ~routes:10_000 256) ~batches:30
-      ~per_batch:2000
   in
-  (lpm_c, lpm_n, exact_c, exact_n, lpm_b)
+  (lpm_c, lpm_n, exact_c, exact_n)
 
 let packets_json () : Ovsdb.Json.t =
-  let lpm_c, lpm_n, exact_c, exact_n, lpm_b = measure_packets () in
+  let lpm_c, lpm_n, exact_c, exact_n = measure_packets () in
   let p50 (_, p, _) = p in
   Ovsdb.Json.Obj
     [ ("lpm_10000_compiled", pkt_leg_json lpm_c);
       ("lpm_10000_naive", pkt_leg_json lpm_n);
       ("lpm_speedup_p50", json_num (p50 lpm_n /. p50 lpm_c));
-      ("lpm_10000_batched", pkt_leg_json lpm_b);
-      ("batch_speedup_p50", json_num (p50 lpm_c /. p50 lpm_b));
       ("snvs_exact_compiled", pkt_leg_json exact_c);
       ("snvs_exact_naive", pkt_leg_json exact_n);
       ("snvs_speedup_p50", json_num (p50 exact_n /. p50 exact_c));
@@ -1486,7 +1459,7 @@ let exp_packets () =
                  (snvs dmac=exact)\n\n"
     (P4.Switch.matcher_repr sw "routes")
     (P4.Switch.matcher_repr sw "protocol_filter");
-  let lpm_c, lpm_n, exact_c, exact_n, lpm_b = measure_packets () in
+  let lpm_c, lpm_n, exact_c, exact_n = measure_packets () in
   Printf.printf "%-26s %12s %12s %12s %14s\n" "leg" "p50 ns/pkt" "p99 ns/pkt"
     "mean" "pps";
   let row name (mean, p50, p99) =
@@ -1494,7 +1467,6 @@ let exp_packets () =
       (1e9 /. mean)
   in
   row "l3 lpm-10000 compiled" lpm_c;
-  row "l3 lpm-10000 batched" lpm_b;
   row "l3 lpm-10000 interpreter" lpm_n;
   row "snvs exact-512 compiled" exact_c;
   row "snvs exact-512 interpreter" exact_n;
@@ -1502,12 +1474,9 @@ let exp_packets () =
   Printf.printf
     "\nspeedup (p50): lpm %.1fx, exact %.1fx — the LPM trie replaces a \
      10^4-entry\nscan per packet; the exact tables were already hashed in \
-     spirit but now skip\nall per-packet list allocation.  process_many \
-     amortises scratch acquisition\nacross a batch: %.2fx vs per-packet \
-     process on the same workload.\n"
+     spirit but now skip\nall per-packet list allocation.\n"
     (p50 lpm_n /. p50 lpm_c)
     (p50 exact_n /. p50 exact_c)
-    (p50 lpm_c /. p50 lpm_b)
 
 (* ------------------------------------------------------------------ *)
 (* EXP-FLOWS: PR 8 — FDD flow compiler vs the naive translator         *)

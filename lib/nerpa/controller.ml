@@ -547,50 +547,19 @@ let write_with_retry ?first_result (t : t) (sw : sw)
 
 exception Recon_fail of string
 
-(* Reconcile a switch against the engine: dump its tables and multicast
-   groups over the link, diff them against what the mappings say should
-   be installed, and write corrective deletes/inserts.  Any link
-   failure aborts the attempt and leaves the switch dirty; the next
-   sync retries. *)
+(* Reconcile a switch against the engine: snapshot its tables and
+   multicast groups over the link ({!Repair.read_switch}), diff them
+   against what the mappings say should be installed, and write the
+   corrective deletes/inserts as one batch.  Any link failure aborts the
+   attempt and leaves the switch dirty; the next sync retries. *)
 let reconcile_sw (t : t) (sw : sw) : unit =
   Obs.Counter.incr m_reconciles;
   Obs.Histogram.time h_reconcile @@ fun () ->
-  let send req =
-    match Transport.send sw.sw_link req with
-    | Ok (P4runtime.Wire.Error_reply msg) -> raise (Recon_fail msg)
-    | Ok resp -> resp
-    | Error e -> raise (Recon_fail (Transport.error_to_string e))
-  in
   match
-    (* One pipelined batch covers the whole dump: every table read plus
-       the group read go out before the first response is awaited. *)
-    let read_results =
-      let reqs =
-        List.map
-          (fun (ti : P4.P4info.table_info) ->
-            P4runtime.Wire.Read_table ti.table_id)
-          sw.sw_info.tables
-        @ [ P4runtime.Wire.Read_groups ]
-      in
-      List.map
-        (function
-          | Ok (P4runtime.Wire.Error_reply msg) -> raise (Recon_fail msg)
-          | Ok resp -> resp
-          | Error e -> raise (Recon_fail (Transport.error_to_string e)))
-        (Transport.send_many sw.sw_link reqs)
-    in
     let actual_entries, actual_groups =
-      match List.rev read_results with
-      | P4runtime.Wire.Groups gs :: tables_rev ->
-        let entries =
-          List.concat_map
-            (function
-              | P4runtime.Wire.Table es -> es
-              | _ -> raise (Recon_fail "protocol mismatch on read_table"))
-            (List.rev tables_rev)
-        in
-        (entries, List.map (fun (g, ps) -> (g, List.sort Int64.compare ps)) gs)
-      | _ -> raise (Recon_fail "protocol mismatch on read_groups")
+      match Repair.read_switch sw.sw_link sw.sw_info with
+      | Ok snap -> snap
+      | Error msg -> raise (Recon_fail msg)
     in
     let desired_entries =
       List.concat_map
@@ -615,35 +584,38 @@ let reconcile_sw (t : t) (sw : sw) : unit =
           (Engine.relation_rows t.engine "MulticastGroup")
         |> List.map (fun (g, ps) -> (g, List.sort Int64.compare ps))
     in
-    let dels =
-      List.filter (fun e -> not (List.mem e desired_entries)) actual_entries
+    let stale, missing =
+      Repair.diff ~hash:Hashtbl.hash ~equal:( = ) ~have:actual_entries
+        ~want:desired_entries
     in
-    let inss =
-      List.filter (fun e -> not (List.mem e actual_entries)) desired_entries
+    (* a switch holds each group once, so a desired (group, ports) pair
+       it lacks is a group to (re)program; a group id it holds that the
+       engine lacks is a group to clear *)
+    let _, changed =
+      Repair.diff ~hash:Hashtbl.hash ~equal:( = ) ~have:actual_groups
+        ~want:desired_groups
     in
-    let group_fixes =
-      List.filter_map
-        (fun (g, ports) ->
-          if List.assoc_opt g actual_groups = Some ports then None
-          else Some (P4runtime.set_multicast ~group:g ~ports))
-        desired_groups
-      @ List.filter_map
-          (fun (g, _) ->
-            if List.mem_assoc g desired_groups then None
-            else Some (P4runtime.set_multicast ~group:g ~ports:[]))
-          actual_groups
+    let cleared, _ =
+      Repair.diff ~hash:Hashtbl.hash ~equal:Int64.equal
+        ~have:(List.map fst actual_groups) ~want:(List.map fst desired_groups)
     in
     let updates =
-      List.map P4runtime.delete dels
-      @ List.map P4runtime.insert inss
-      @ group_fixes
+      List.map P4runtime.delete stale
+      @ List.map P4runtime.insert missing
+      @ List.map
+          (fun (g, ports) -> P4runtime.set_multicast ~group:g ~ports)
+          changed
+      @ List.map (fun g -> P4runtime.set_multicast ~group:g ~ports:[]) cleared
     in
     if updates <> [] then begin
       Obs.Counter.add m_corrections (List.length updates);
-      match send (P4runtime.Wire.Write updates) with
-      | P4runtime.Wire.Write_reply (Ok ()) -> feed_flow_programmer sw updates
-      | P4runtime.Wire.Write_reply (Error msg) -> raise (Recon_fail msg)
-      | _ -> raise (Recon_fail "protocol mismatch on write")
+      match Transport.send sw.sw_link (P4runtime.Wire.Write updates) with
+      | Ok (P4runtime.Wire.Write_reply (Ok ())) -> feed_flow_programmer sw updates
+      | Ok (P4runtime.Wire.Write_reply (Error msg) | P4runtime.Wire.Error_reply msg)
+        ->
+        raise (Recon_fail msg)
+      | Ok _ -> raise (Recon_fail "protocol mismatch on write")
+      | Error e -> raise (Recon_fail (Transport.error_to_string e))
     end
   with
   | () ->
@@ -809,21 +781,13 @@ let apply_resync (t : t) (snap : Ovsdb.Db.table_updates) : unit =
               Option.map (Bridge.row_of_ovsdb decl uuid) upd.after)
             rows
       in
-      let have = Engine.relation_rows t.engine decl.Ast.rname in
-      List.iter
-        (fun row ->
-          if not (List.exists (Row.equal row) want) then begin
-            incr ncorr;
-            Engine.delete txn decl.Ast.rname row
-          end)
-        have;
-      List.iter
-        (fun row ->
-          if not (List.exists (Row.equal row) have) then begin
-            incr ncorr;
-            Engine.insert txn decl.Ast.rname row
-          end)
-        want)
+      let stale, missing =
+        Repair.diff ~hash:Row.hash ~equal:Row.equal
+          ~have:(Engine.relation_rows t.engine decl.Ast.rname) ~want
+      in
+      ncorr := !ncorr + List.length stale + List.length missing;
+      List.iter (Engine.delete txn decl.Ast.rname) stale;
+      List.iter (Engine.insert txn decl.Ast.rname) missing)
     t.input_rel_of_table;
   let deltas = Engine.commit txn in
   Obs.Counter.add m_resync_corr !ncorr;
@@ -935,27 +899,23 @@ let exchange_resync (t : t) (xs : xstate) (shard : int)
   match Transport.send link Links.Resync with
   | Ok (Links.Snapshot snap) ->
     ignore (Transport.events link);
-    let present = Hashtbl.create 64 in
-    List.iter
-      (fun (s, rel, text, w) ->
-        if s = shard && w > 0 then Hashtbl.replace present (rel, text) ())
-      (Xrel.deltas_of_updates snap);
-    let gone =
+    let present =
+      List.filter_map
+        (fun (s, rel, text, w) ->
+          if s = shard && w > 0 then Some (rel, text) else None)
+        (Xrel.deltas_of_updates snap)
+    in
+    let mirrored =
       Hashtbl.fold
-        (fun (s, rel, text) _ acc ->
-          if s = shard && not (Hashtbl.mem present (rel, text)) then
-            (s, rel, text, -1) :: acc
-          else acc)
+        (fun (s, rel, text) _ acc -> if s = shard then (rel, text) :: acc else acc)
         xs.x_mirror []
+      |> List.sort compare
     in
-    let fresh =
-      Hashtbl.fold
-        (fun (rel, text) () acc ->
-          if Hashtbl.mem xs.x_mirror (shard, rel, text) then acc
-          else (shard, rel, text, 1) :: acc)
-        present []
+    let gone, fresh =
+      Repair.diff ~hash:Hashtbl.hash ~equal:( = ) ~have:mirrored ~want:present
     in
-    exchange_apply t xs (gone @ fresh);
+    let signed w = List.map (fun (rel, text) -> (shard, rel, text, w)) in
+    exchange_apply t xs (signed (-1) gone @ signed 1 fresh);
     Hashtbl.replace xs.x_peer_dirty shard false
   | Ok _ -> error "exchange link: protocol mismatch on resync"
   | Error _ -> () (* stays dirty; retried next iteration *)
@@ -1550,43 +1510,16 @@ let p4_ctl (t : t) (name : string) : Transport.ctl option =
     @raise Controller_error on a link failure. *)
 let dump_switch (t : t) (name : string) : string =
   let sw = find_sw t name in
-  (* Pipeline every read of the dump in one batch; the dump text itself
-     stays in the JSON encoding so it is byte-comparable regardless of
-     which wire codec carried the reads. *)
-  let read_results =
-    let reqs =
-      List.map
-        (fun (ti : P4.P4info.table_info) ->
-          P4runtime.Wire.Read_table ti.table_id)
-        sw.sw_info.tables
-      @ [ P4runtime.Wire.Read_groups ]
-    in
-    List.map
-      (function
-        | Ok (P4runtime.Wire.Error_reply msg) -> error "dump %s: %s" name msg
-        | Ok resp -> resp
-        | Error e -> error "dump %s: %s" name (Transport.error_message e))
-      (Transport.send_many sw.sw_link reqs)
-  in
-  let entries, groups =
-    match List.rev read_results with
-    | P4runtime.Wire.Groups gs :: tables_rev ->
-      let entries =
-        List.concat_map
-          (function
-            | P4runtime.Wire.Table es -> es
-            | _ -> error "dump %s: protocol mismatch on read_table" name)
-          (List.rev tables_rev)
-      in
-      ( entries,
-        List.sort compare
-          (List.map (fun (g, ps) -> (g, List.sort Int64.compare ps)) gs) )
-    | _ -> error "dump %s: protocol mismatch on read_groups" name
-  in
-  P4runtime.Wire.encode_response
-    (P4runtime.Wire.Table (List.sort compare entries))
-  ^ "\n"
-  ^ P4runtime.Wire.encode_response (P4runtime.Wire.Groups groups)
+  match Repair.read_switch sw.sw_link sw.sw_info with
+  | Error msg -> error "dump %s: %s" name msg
+  | Ok (entries, groups) ->
+    (* the dump text stays in the JSON encoding so it is byte-comparable
+       regardless of which wire codec carried the reads *)
+    P4runtime.Wire.encode_response
+      (P4runtime.Wire.Table (List.sort compare entries))
+    ^ "\n"
+    ^ P4runtime.Wire.encode_response
+        (P4runtime.Wire.Groups (List.sort compare groups))
 
 (** Direct access to the engine, for inspection in tests and examples. *)
 let engine (t : t) = t.engine

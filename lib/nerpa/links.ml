@@ -76,13 +76,13 @@ let publish_of_json = function
     { pub_shard = shard; pub_reset = reset; pub_rows = List.map rel_of rows }
   | j -> failwith ("bad publish " ^ J.to_string j)
 
-let encode_mgmt_request = function
+let json_of_mgmt_request = function
   | Poll_monitor -> J.to_string (J.String "poll")
   | Resync -> J.to_string (J.String "resync")
   | Publish p -> J.to_string (J.Obj [ ("publish", publish_to_json p) ])
   | Get_stats -> J.to_string (J.String "stats")
 
-let decode_mgmt_request s =
+let mgmt_request_of_json s =
   match J.of_string s with
   | J.String "poll" -> Ok Poll_monitor
   | J.String "resync" -> Ok Resync
@@ -92,7 +92,7 @@ let decode_mgmt_request s =
   | j -> Error (Printf.sprintf "bad monitor request %s" (J.to_string j))
   | exception J.Parse_error msg -> Error msg
 
-let encode_mgmt_response = function
+let json_of_mgmt_response = function
   | Batches bs ->
     J.to_string (J.List (List.map Ovsdb.Rpc.updates_to_json bs))
   | Snapshot s ->
@@ -101,7 +101,7 @@ let encode_mgmt_response = function
   | Pub_ok -> J.to_string (J.String "pub-ok")
   | Stats s -> J.to_string (J.Obj [ ("stats", J.String s) ])
 
-let decode_mgmt_response s =
+let mgmt_response_of_json s =
   match J.of_string s with
   | J.List bs -> (
     try Ok (Batches (List.map Ovsdb.Rpc.updates_of_json bs))
@@ -151,7 +151,7 @@ let r_publish r =
   in
   { pub_shard; pub_reset; pub_rows }
 
-let encode_mgmt_request_bin = function
+let bin_of_mgmt_request = function
   | Poll_monitor -> "\x00"
   | Resync -> "\x01"
   | Publish p ->
@@ -161,7 +161,7 @@ let encode_mgmt_request_bin = function
     B.contents b
   | Get_stats -> "\x03"
 
-let decode_mgmt_request_bin s =
+let mgmt_request_of_bin s =
   match s with
   | "\x00" -> Ok Poll_monitor
   | "\x01" -> Ok Resync
@@ -176,7 +176,7 @@ let decode_mgmt_request_bin s =
   | s -> Error (Printf.sprintf "bad binary monitor request (%d bytes)"
                   (String.length s))
 
-let encode_mgmt_response_bin = function
+let bin_of_mgmt_response = function
   | Batches bs ->
     let b = B.writer () in
     B.w_u8 b 0;
@@ -194,7 +194,7 @@ let encode_mgmt_response_bin = function
     B.w_string b s;
     B.contents b
 
-let decode_mgmt_response_bin s =
+let mgmt_response_of_bin s =
   B.decode
     (fun r ->
       match B.r_u8 r with
@@ -205,38 +205,38 @@ let decode_mgmt_response_bin s =
       | t -> raise (B.Error (Printf.sprintf "bad monitor response tag %d" t)))
     s
 
-(* Codec-indexed selectors, the shape Transport.socket and lib/server
-   consume. *)
+(* One codec-indexed pair per message type: the shape Transport.socket
+   and lib/server consume; the in-process wire links use [Json]. *)
 
-let encode_mgmt_request_c = function
-  | Transport.Json -> encode_mgmt_request
-  | Transport.Binary -> encode_mgmt_request_bin
+let encode_mgmt_request = function
+  | Transport.Json -> json_of_mgmt_request
+  | Transport.Binary -> bin_of_mgmt_request
 
-let decode_mgmt_request_c = function
-  | Transport.Json -> decode_mgmt_request
-  | Transport.Binary -> decode_mgmt_request_bin
+let decode_mgmt_request = function
+  | Transport.Json -> mgmt_request_of_json
+  | Transport.Binary -> mgmt_request_of_bin
 
-let encode_mgmt_response_c = function
-  | Transport.Json -> encode_mgmt_response
-  | Transport.Binary -> encode_mgmt_response_bin
+let encode_mgmt_response = function
+  | Transport.Json -> json_of_mgmt_response
+  | Transport.Binary -> bin_of_mgmt_response
 
-let decode_mgmt_response_c = function
-  | Transport.Json -> decode_mgmt_response
-  | Transport.Binary -> decode_mgmt_response_bin
+let decode_mgmt_response = function
+  | Transport.Json -> mgmt_response_of_json
+  | Transport.Binary -> mgmt_response_of_bin
 
-let encode_p4_request_c = function
+let encode_p4_request = function
   | Transport.Json -> P4runtime.Wire.encode_request
   | Transport.Binary -> P4runtime.Wire.encode_request_bin
 
-let decode_p4_request_c = function
+let decode_p4_request = function
   | Transport.Json -> P4runtime.Wire.decode_request
   | Transport.Binary -> P4runtime.Wire.decode_request_bin
 
-let encode_p4_response_c = function
+let encode_p4_response = function
   | Transport.Json -> P4runtime.Wire.encode_response
   | Transport.Binary -> P4runtime.Wire.encode_response_bin
 
-let decode_p4_response_c = function
+let decode_p4_response = function
   | Transport.Json -> P4runtime.Wire.decode_response
   | Transport.Binary -> P4runtime.Wire.decode_response_bin
 
@@ -245,23 +245,23 @@ let decode_p4_response_c = function
 let direct_mgmt db mon = Transport.direct (mgmt_handler db mon)
 
 let wire_mgmt db mon =
-  Transport.wire ~encode_req:encode_mgmt_request
-    ~decode_req:decode_mgmt_request ~encode_resp:encode_mgmt_response
-    ~decode_resp:decode_mgmt_response (mgmt_handler db mon)
+  Transport.wire ~encode_req:(encode_mgmt_request Transport.Json)
+    ~decode_req:(decode_mgmt_request Transport.Json)
+    ~encode_resp:(encode_mgmt_response Transport.Json)
+    ~decode_resp:(decode_mgmt_response Transport.Json) (mgmt_handler db mon)
 
 let socket_mgmt ?codec ?auth ~addr () =
   Transport.socket ~plane:Transport.Frame.Mgmt ~addr ?auth ?codec
-    ~encode_req:encode_mgmt_request_c ~decode_resp:decode_mgmt_response_c ()
+    ~encode_req:encode_mgmt_request ~decode_resp:decode_mgmt_response ()
 
 let direct_p4 srv = Transport.direct (P4runtime.Wire.dispatch srv)
 
 let wire_p4 srv =
-  Transport.wire ~encode_req:P4runtime.Wire.encode_request
-    ~decode_req:P4runtime.Wire.decode_request
-    ~encode_resp:P4runtime.Wire.encode_response
-    ~decode_resp:P4runtime.Wire.decode_response
-    (P4runtime.Wire.dispatch srv)
+  Transport.wire ~encode_req:(encode_p4_request Transport.Json)
+    ~decode_req:(decode_p4_request Transport.Json)
+    ~encode_resp:(encode_p4_response Transport.Json)
+    ~decode_resp:(decode_p4_response Transport.Json) (P4runtime.Wire.dispatch srv)
 
 let socket_p4 ?codec ?auth ~addr () =
   Transport.socket ~plane:Transport.Frame.P4 ~addr ?auth ?codec
-    ~encode_req:encode_p4_request_c ~decode_resp:decode_p4_response_c ()
+    ~encode_req:encode_p4_request ~decode_resp:decode_p4_response ()

@@ -54,37 +54,25 @@ val mgmt_handler :
     renders this process's metrics.  Shared by the in-process links
     and [lib/server]. *)
 
-(** {1 Management-plane codec}
+(** {1 Codecs}
 
-    JSON text (the interoperability fallback) and the compact binary
-    form ({!Ovsdb.Binc}), selected per socket connection by the frame
-    codec. *)
+    One pair per message type, indexed by the frame codec: JSON text
+    (the interoperability fallback) or the compact binary form
+    ({!Ovsdb.Binc}, {!P4runtime.Wire}'s [_bin] forms), selected per
+    socket connection.  The in-process [wire_*] links use [Json]. *)
 
-val encode_mgmt_request : mgmt_request -> string
-val decode_mgmt_request : string -> (mgmt_request, string) result
-val encode_mgmt_response : mgmt_response -> string
-val decode_mgmt_response : string -> (mgmt_response, string) result
-
-val encode_mgmt_request_bin : mgmt_request -> string
-val decode_mgmt_request_bin : string -> (mgmt_request, string) result
-val encode_mgmt_response_bin : mgmt_response -> string
-val decode_mgmt_response_bin : string -> (mgmt_response, string) result
-
-(** Codec-indexed selectors (the shape {!Transport.socket} and
-    [lib/server] consume). *)
-
-val encode_mgmt_request_c : Transport.codec -> mgmt_request -> string
-val decode_mgmt_request_c :
+val encode_mgmt_request : Transport.codec -> mgmt_request -> string
+val decode_mgmt_request :
   Transport.codec -> string -> (mgmt_request, string) result
-val encode_mgmt_response_c : Transport.codec -> mgmt_response -> string
-val decode_mgmt_response_c :
+val encode_mgmt_response : Transport.codec -> mgmt_response -> string
+val decode_mgmt_response :
   Transport.codec -> string -> (mgmt_response, string) result
 
-val encode_p4_request_c : Transport.codec -> P4runtime.Wire.request -> string
-val decode_p4_request_c :
+val encode_p4_request : Transport.codec -> P4runtime.Wire.request -> string
+val decode_p4_request :
   Transport.codec -> string -> (P4runtime.Wire.request, string) result
-val encode_p4_response_c : Transport.codec -> P4runtime.Wire.response -> string
-val decode_p4_response_c :
+val encode_p4_response : Transport.codec -> P4runtime.Wire.response -> string
+val decode_p4_response :
   Transport.codec -> string -> (P4runtime.Wire.response, string) result
 
 (** {1 Constructors} *)

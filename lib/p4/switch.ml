@@ -1120,34 +1120,6 @@ let process (sw : t) ~(in_port : int) (pkt : Packet.t) : (int * Packet.t) list =
   Obs.Counter.add m_packets_out (List.length outputs);
   outputs
 
-(** Batched injection: process [(in_port, packet)] jobs back to back on
-    one scratch acquisition, resetting it between packets, instead of a
-    pool round-trip (atomic exchange + set) per packet.  Output lists
-    are per input packet, in order.  Falls back to per-packet [process]
-    under the interpreter. *)
-let process_many (sw : t) (jobs : (int * Packet.t) list) :
-    (int * Packet.t) list list =
-  if not sw.use_compiled then
-    List.map (fun (in_port, pkt) -> process sw ~in_port pkt) jobs
-  else begin
-    let cp = sw.compiled in
-    let sc = acquire_scratch cp in
-    let outs =
-      List.map
-        (fun (in_port, pkt) ->
-          Atomic.incr sw.packets_in;
-          Obs.Counter.incr m_packets_in;
-          reset_scratch sc;
-          let outputs = process_fast_in sw cp sc ~in_port pkt in
-          ignore (Atomic.fetch_and_add sw.packets_out (List.length outputs));
-          Obs.Counter.add m_packets_out (List.length outputs);
-          outputs)
-        jobs
-    in
-    release_scratch cp sc;
-    outs
-  end
-
 (* ---------------- introspection ---------------- *)
 
 type table_stats = { entries : int; hits : int; misses : int }

@@ -110,12 +110,6 @@ val process : t -> in_port:int -> Packet.t -> (int * Packet.t) list
     [Drop] is sticky and suppresses clones too.  Digests emitted during
     processing are queued on the switch. *)
 
-val process_many : t -> (int * Packet.t) list -> (int * Packet.t) list list
-(** Batched {!process}: run [(in_port, packet)] jobs back to back on a
-    single scratch-pool acquisition instead of one pool round-trip per
-    packet.  Returns one output list per job, in order, each equal to
-    what {!process} would have returned. *)
-
 (** {1 Introspection} *)
 
 type table_stats = { entries : int; hits : int; misses : int }

@@ -134,14 +134,14 @@ let serve_mgmt (t : t) (db : Ovsdb.Db.t) (fd : Unix.file_descr) : unit =
       with_lock t (fun () -> Ovsdb.Db.cancel_monitor db mon))
     (fun () ->
       serve_conn t ~plane:Transport.Frame.Mgmt
-        ~decode:Nerpa.Links.decode_mgmt_request_c
-        ~encode:Nerpa.Links.encode_mgmt_response_c
+        ~decode:Nerpa.Links.decode_mgmt_request
+        ~encode:Nerpa.Links.encode_mgmt_response
         ~handle:(Nerpa.Links.mgmt_handler db mon) fd)
 
 let serve_p4 (t : t) (srv : P4runtime.server) (fd : Unix.file_descr) : unit =
   serve_conn t ~plane:Transport.Frame.P4
-    ~decode:Nerpa.Links.decode_p4_request_c
-    ~encode:Nerpa.Links.encode_p4_response_c
+    ~decode:Nerpa.Links.decode_p4_request
+    ~encode:Nerpa.Links.encode_p4_response
     ~handle:(P4runtime.Wire.dispatch srv) fd
 
 (* ---------------- accept loops ---------------- *)

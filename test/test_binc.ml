@@ -204,15 +204,16 @@ let test_mgmt_response_codecs () =
   List.iter
     (fun resp ->
       (match
-         Nerpa.Links.decode_mgmt_response_bin
-           (Nerpa.Links.encode_mgmt_response_bin resp)
+         Nerpa.Links.decode_mgmt_response Transport.Binary
+           (Nerpa.Links.encode_mgmt_response Transport.Binary resp)
        with
       | Ok got ->
         Alcotest.(check bool) "binary mgmt response round-trips" true
           (got = resp)
       | Error e -> Alcotest.failf "binary mgmt decode failed: %s" e);
       match
-        Nerpa.Links.decode_mgmt_response (Nerpa.Links.encode_mgmt_response resp)
+        Nerpa.Links.decode_mgmt_response Transport.Json
+          (Nerpa.Links.encode_mgmt_response Transport.Json resp)
       with
       | Ok got ->
         Alcotest.(check bool) "json mgmt response round-trips" true
@@ -227,11 +228,12 @@ let test_mgmt_response_codecs () =
   List.iter
     (fun req ->
       Alcotest.(check bool) "binary mgmt request round-trips" true
-        (Nerpa.Links.decode_mgmt_request_bin
-           (Nerpa.Links.encode_mgmt_request_bin req)
+        (Nerpa.Links.decode_mgmt_request Transport.Binary
+           (Nerpa.Links.encode_mgmt_request Transport.Binary req)
         = Ok req);
       Alcotest.(check bool) "json mgmt request round-trips" true
-        (Nerpa.Links.decode_mgmt_request (Nerpa.Links.encode_mgmt_request req)
+        (Nerpa.Links.decode_mgmt_request Transport.Json
+           (Nerpa.Links.encode_mgmt_request Transport.Json req)
         = Ok req))
     [ Nerpa.Links.Poll_monitor; Nerpa.Links.Resync ]
 

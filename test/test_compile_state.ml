@@ -8,7 +8,6 @@
    - manager compaction keeps the interned node count bounded across
      10^4 churn transactions without changing results;
    - fold_flows streams the exact flow sequence compile materialises;
-   - Switch.process_many agrees with per-packet process;
    - Controller.attach_flow_programmer pushes deltas through sync and
      reconciliation that replay to the from-scratch pipeline. *)
 
@@ -401,38 +400,6 @@ let test_fold_flows_streaming () =
     streamed
 
 (* ------------------------------------------------------------------ *)
-(* Batched packet processing                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_process_many () =
-  let sw = P4.Switch.create churn_prog in
-  P4.Switch.insert_entry sw "acl" (acl_e ~prio:1 0x05L 0xFFL 2);
-  P4.Switch.insert_entry sw "routes" (route_e 0x0A000000L 8 1);
-  P4.Switch.insert_entry sw "routes" (route_e 0x0A010000L 16 3);
-  let r = Random.State.make [| 77 |] in
-  let jobs =
-    List.init 64 (fun _ ->
-        let src = if Random.State.bool r then 0x05L else 0x1234L in
-        let dst =
-          Int64.of_int
-            (((10 + Random.State.int r 2) lsl 24)
-            lor (Random.State.int r 3 lsl 16)
-            lor Random.State.int r 256)
-        in
-        ( 1 + Random.State.int r 4,
-          P4.Stdhdrs.udp_packet ~eth_dst:1L ~eth_src:2L ~ip_src:src ~ip_dst:dst
-            ~src_port:1L ~dst_port:2L ~payload:"x" ))
-  in
-  let batched = P4.Switch.process_many sw jobs in
-  List.iter2
-    (fun (in_port, pkt) outs ->
-      Alcotest.(check (list (pair int string)))
-        "batched = per-packet"
-        (Test_fdd.sorted_outs (P4.Switch.process sw ~in_port pkt))
-        (Test_fdd.sorted_outs outs))
-    jobs batched
-
-(* ------------------------------------------------------------------ *)
 (* Controller flow programmer                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -476,8 +443,6 @@ let tests =
       test_compaction_bounded;
     Alcotest.test_case "fold_flows streams compile's flows" `Quick
       test_fold_flows_streaming;
-    Alcotest.test_case "process_many agrees with process" `Quick
-      test_process_many;
     Alcotest.test_case "controller pushes flow deltas" `Quick
       test_controller_flow_programmer;
   ]

@@ -28,4 +28,5 @@ let () =
       ("fdd", Test_fdd.tests);
       ("compile_state", Test_compile_state.tests);
       ("cluster", Test_cluster.tests);
+      ("repair", Test_repair.tests);
     ]

@@ -318,13 +318,14 @@ let json_only_server lfd (conns : Unix.file_descr list ref) : unit =
             | None -> ()
             | Some payload ->
               (match
-                 Nerpa.Links.decode_mgmt_request (Bytes.to_string payload)
+                 Nerpa.Links.decode_mgmt_request Transport.Json
+                   (Bytes.to_string payload)
                with
               | Ok Nerpa.Links.Poll_monitor ->
                 (match
                    F.write_frame fd ~plane:F.Mgmt ~codec:Transport.Json
                      ~req_id
-                     (Nerpa.Links.encode_mgmt_response
+                     (Nerpa.Links.encode_mgmt_response Transport.Json
                         (Nerpa.Links.Batches []))
                  with
                 | Ok () -> serve ()
